@@ -14,6 +14,7 @@ use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_topology::SystemGraph;
 
 use crate::assignment::Assignment;
+use crate::delta::comm;
 use crate::schedule::{EvaluationModel, Schedule};
 
 /// The result of evaluating one assignment.
@@ -44,31 +45,9 @@ pub fn evaluate_assignment(
     assignment: &Assignment,
     model: EvaluationModel,
 ) -> Result<Evaluation, GraphError> {
-    if graph.num_clusters() != system.len() {
-        return Err(GraphError::SizeMismatch {
-            left: graph.num_clusters(),
-            right: system.len(),
-        });
-    }
-    if assignment.len() != system.len() {
-        return Err(GraphError::SizeMismatch {
-            left: assignment.len(),
-            right: system.len(),
-        });
-    }
-    let schedule = Schedule::compute(graph, model, |u, v| {
-        let w = graph.clus_weight(u, v);
-        if w == 0 {
-            0
-        } else {
-            let su = assignment.sys_of(graph.cluster_of(u));
-            let sv = assignment.sys_of(graph.cluster_of(v));
-            w * Time::from(system.hops(su, sv))
-        }
-    });
     Ok(Evaluation {
+        schedule: schedule_of(graph, system, assignment, model)?,
         assignment: assignment.clone(),
-        schedule,
         model,
     })
 }
@@ -85,6 +64,19 @@ pub fn evaluate_total(
     assignment: &Assignment,
     model: EvaluationModel,
 ) -> Result<Time, GraphError> {
+    Ok(schedule_of(graph, system, assignment, model)?.total())
+}
+
+/// The schedule of `assignment` under `model`, after the size checks
+/// both public entry points share. Edges are priced by
+/// [`delta::comm`](crate::delta::comm) with the weight from the
+/// adjacency list, so no edge pays a weight lookup.
+fn schedule_of(
+    graph: &ClusteredProblemGraph,
+    system: &SystemGraph,
+    assignment: &Assignment,
+    model: EvaluationModel,
+) -> Result<Schedule, GraphError> {
     if graph.num_clusters() != system.len() {
         return Err(GraphError::SizeMismatch {
             left: graph.num_clusters(),
@@ -97,17 +89,9 @@ pub fn evaluate_total(
             right: system.len(),
         });
     }
-    let schedule = Schedule::compute(graph, model, |u, v| {
-        let w = graph.clus_weight(u, v);
-        if w == 0 {
-            0
-        } else {
-            let su = assignment.sys_of(graph.cluster_of(u));
-            let sv = assignment.sys_of(graph.cluster_of(v));
-            w * Time::from(system.hops(su, sv))
-        }
-    });
-    Ok(schedule.total())
+    Ok(Schedule::compute(graph, model, |u, v, w| {
+        comm(graph, system, assignment, u, v, w)
+    }))
 }
 
 /// The paper's §4.3.4 Algorithm I: the explicit communication matrix
@@ -275,7 +259,7 @@ mod tests {
             "intra-cluster edge (1,4) has no network cost"
         );
         // The schedule recomputed from the matrix matches the evaluator.
-        let from_matrix = crate::schedule::Schedule::precedence(&g, |u, v| m.get(u, v));
+        let from_matrix = crate::schedule::Schedule::precedence(&g, |u, v, _| m.get(u, v));
         let eval = evaluate_assignment(&g, &sys, &a, EvaluationModel::Precedence).unwrap();
         assert_eq!(from_matrix.total(), eval.total());
         assert!(communication_matrix(&g, &ring(5).unwrap(), &a).is_err());

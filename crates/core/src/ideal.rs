@@ -26,7 +26,7 @@ impl IdealSchedule {
     /// Derive the ideal graph of a clustered problem graph (§4.1
     /// algorithms I–III).
     pub fn derive(graph: &ClusteredProblemGraph) -> Self {
-        let schedule = Schedule::precedence(graph, |u, v| graph.clus_weight(u, v));
+        let schedule = Schedule::precedence(graph, |u, v, _| graph.clus_weight(u, v));
         IdealSchedule { schedule }
     }
 

@@ -10,8 +10,8 @@
 //! space and mapping time".
 //!
 //! Candidates are priced by the incremental [`DeltaEvaluator`] (stage →
-//! commit/discard), so each one costs only its disturbed scheduling
-//! cone instead of a from-scratch evaluation — totals are bit-identical
+//! commit/discard) over a plan compiled once per refinement, instead of
+//! a from-scratch evaluation each — totals are bit-identical
 //! to [`evaluate_assignment`](crate::evaluate_assignment) by the delta
 //! evaluator's contract, so seeded results match the historic loop
 //! exactly. On top of the paper's random rounds, an **opt-in**

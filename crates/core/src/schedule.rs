@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use mimd_graph::Time;
+use mimd_graph::{Time, Weight};
 use mimd_taskgraph::{ClusteredProblemGraph, TaskId};
 
 /// Which execution model the schedule uses.
@@ -36,12 +36,14 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Compute a precedence-model schedule. `comm(u, v)` must return the
-    /// communication delay charged on edge `u -> v` (already multiplied
-    /// by hops if applicable; 0 for intra-cluster edges).
+    /// Compute a precedence-model schedule. `comm(u, v, w)` must return
+    /// the communication delay charged on edge `u -> v` (already
+    /// multiplied by hops if applicable; 0 for intra-cluster edges);
+    /// `w` is the edge's problem weight from the adjacency list, so the
+    /// callback needs no weight lookup.
     pub fn precedence<F>(graph: &ClusteredProblemGraph, mut comm: F) -> Self
     where
-        F: FnMut(TaskId, TaskId) -> Time,
+        F: FnMut(TaskId, TaskId, Weight) -> Time,
     {
         let problem = graph.problem();
         let n = problem.len();
@@ -51,7 +53,7 @@ impl Schedule {
             let s = problem
                 .predecessors(t)
                 .iter()
-                .map(|&(u, _)| end[u] + comm(u, t))
+                .map(|&(u, w)| end[u] + comm(u, t, w))
                 .max()
                 .unwrap_or(0);
             start[t] = s;
@@ -68,7 +70,7 @@ impl Schedule {
     /// by task id.
     pub fn serialized<F>(graph: &ClusteredProblemGraph, mut comm: F) -> Self
     where
-        F: FnMut(TaskId, TaskId) -> Time,
+        F: FnMut(TaskId, TaskId, Weight) -> Time,
     {
         let problem = graph.problem();
         let n = problem.len();
@@ -97,9 +99,9 @@ impl Schedule {
             start[t] = s;
             end[t] = s + problem.size(t);
             proc_free[graph.cluster_of(t)] = end[t];
-            for &(v, _) in problem.successors(t) {
+            for &(v, w) in problem.successors(t) {
                 remaining_preds[v] -= 1;
-                data_ready[v] = data_ready[v].max(end[t] + comm(t, v));
+                data_ready[v] = data_ready[v].max(end[t] + comm(t, v, w));
             }
         }
         let total = end.iter().copied().max().unwrap_or(0);
@@ -109,7 +111,7 @@ impl Schedule {
     /// Dispatch on [`EvaluationModel`].
     pub fn compute<F>(graph: &ClusteredProblemGraph, model: EvaluationModel, comm: F) -> Self
     where
-        F: FnMut(TaskId, TaskId) -> Time,
+        F: FnMut(TaskId, TaskId, Weight) -> Time,
     {
         match model {
             EvaluationModel::Precedence => Schedule::precedence(graph, comm),
@@ -169,7 +171,7 @@ mod tests {
     #[test]
     fn precedence_allows_same_processor_overlap() {
         let g = fixture();
-        let s = Schedule::precedence(&g, |u, v| g.clus_weight(u, v));
+        let s = Schedule::precedence(&g, |u, v, _| g.clus_weight(u, v));
         // Both sources start at 0 despite sharing cluster 0.
         assert_eq!(s.start(0), 0);
         assert_eq!(s.start(1), 0);
@@ -181,7 +183,7 @@ mod tests {
     #[test]
     fn serialized_forbids_overlap() {
         let g = fixture();
-        let s = Schedule::serialized(&g, |u, v| g.clus_weight(u, v));
+        let s = Schedule::serialized(&g, |u, v, _| g.clus_weight(u, v));
         // Cluster 0 runs tasks 0 then 1 back to back.
         assert_eq!(s.start(0), 0);
         assert_eq!(s.start(1), 3);
@@ -194,8 +196,8 @@ mod tests {
     #[test]
     fn serialized_never_beats_precedence() {
         let g = fixture();
-        let p = Schedule::precedence(&g, |u, v| g.clus_weight(u, v));
-        let s = Schedule::serialized(&g, |u, v| g.clus_weight(u, v));
+        let p = Schedule::precedence(&g, |u, v, _| g.clus_weight(u, v));
+        let s = Schedule::serialized(&g, |u, v, _| g.clus_weight(u, v));
         assert!(s.total() >= p.total());
         for t in 0..3 {
             assert!(s.start(t) >= p.start(t), "task {t}");
@@ -205,20 +207,21 @@ mod tests {
     #[test]
     fn compute_dispatches() {
         let g = fixture();
+        let comm = |u, v, _| g.clus_weight(u, v);
         assert_eq!(
-            Schedule::compute(&g, EvaluationModel::Precedence, |u, v| g.clus_weight(u, v)),
-            Schedule::precedence(&g, |u, v| g.clus_weight(u, v))
+            Schedule::compute(&g, EvaluationModel::Precedence, comm),
+            Schedule::precedence(&g, comm)
         );
         assert_eq!(
-            Schedule::compute(&g, EvaluationModel::Serialized, |u, v| g.clus_weight(u, v)),
-            Schedule::serialized(&g, |u, v| g.clus_weight(u, v))
+            Schedule::compute(&g, EvaluationModel::Serialized, comm),
+            Schedule::serialized(&g, comm)
         );
     }
 
     #[test]
     fn zero_comm_reduces_to_critical_path() {
         let g = fixture();
-        let s = Schedule::precedence(&g, |_, _| 0);
+        let s = Schedule::precedence(&g, |_, _, _| 0);
         assert_eq!(s.total(), 4, "3-unit source + 1-unit sink");
     }
 
@@ -227,7 +230,7 @@ mod tests {
         let p = ProblemGraph::from_paper_edges(&[7], &[]).unwrap();
         let c = Clustering::new(vec![0]).unwrap();
         let g = ClusteredProblemGraph::new(p, c).unwrap();
-        let s = Schedule::precedence(&g, |_, _| 0);
+        let s = Schedule::precedence(&g, |_, _, _| 0);
         assert_eq!(s.total(), 7);
         assert_eq!(s.latest_tasks(), vec![0]);
     }

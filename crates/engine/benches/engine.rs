@@ -107,8 +107,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
 }
 
 /// Where the engine wins even on one core: a batch against a large
-/// machine, where per-job topology precomputation (APSP + routing
-/// table) rivals the mapping itself. The naive loop pays it per job;
+/// machine, where per-job topology precomputation (the APSP hop
+/// matrix) rivals the mapping itself. The naive loop pays it per job;
 /// the engine pays it once.
 fn bench_cache_amortization(c: &mut Criterion) {
     let jobs: Vec<JobSpec> = (0..40u64)

@@ -2,11 +2,10 @@
 //!
 //! Batch mapping spends real time on per-machine precomputation: the
 //! all-pairs hop matrix (`mimd-graph` BFS APSP, embedded in
-//! [`SystemGraph`]), the simulator's next-hop [`RoutingTable`], and —
-//! the dominant setup cost of multilevel and online jobs — the
-//! system-side [`SystemHierarchy`] (matchings, contracted machines and
-//! their per-level APSP matrices). A batch of N jobs against the same
-//! machine should pay each cost once. [`TopologyCache`] interns
+//! [`SystemGraph`]) and — the dominant setup cost of multilevel and
+//! online jobs — the system-side [`SystemHierarchy`] (matchings,
+//! contracted machines and their per-level APSP matrices). A batch of
+//! N jobs against the same machine should pay each cost once. [`TopologyCache`] interns
 //! topologies behind their canonical JSON spec and hands out
 //! `Arc`-shared artifacts; the hierarchy is built lazily on first
 //! multilevel/online use so flat-only batches never pay for it.
@@ -22,7 +21,6 @@ use serde::{Deserialize, Serialize};
 
 use mimd_graph::error::GraphError;
 use mimd_multilevel::SystemHierarchy;
-use mimd_sim::RoutingTable;
 use mimd_topology::{SystemGraph, TopologySpec};
 
 /// Everything per-topology that jobs can share read-only.
@@ -30,8 +28,6 @@ use mimd_topology::{SystemGraph, TopologySpec};
 pub struct TopologyArtifacts {
     /// The validated system graph with its embedded APSP hop matrix.
     pub system: SystemGraph,
-    /// Deterministic shortest-path next-hop table.
-    pub routing: RoutingTable,
     /// The system-side multilevel hierarchy, built at most once on
     /// first use (multilevel and online jobs only).
     hierarchy: OnceLock<Result<Arc<SystemHierarchy>, GraphError>>,
@@ -44,10 +40,8 @@ impl TopologyArtifacts {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(topology_seed);
         let system = spec.build(&mut rng)?;
-        let routing = RoutingTable::new(&system);
         Ok(TopologyArtifacts {
             system,
-            routing,
             hierarchy: OnceLock::new(),
         })
     }
@@ -63,13 +57,13 @@ impl TopologyArtifacts {
     }
 
     /// Estimated resident bytes of these artifacts: the `n²` `u32` APSP
-    /// hop matrix, the `n²` `u32` next-hop routing table, and — once
-    /// built — every coarsened level's APSP matrix in the hierarchy.
+    /// hop matrix and — once built — every coarsened level's APSP
+    /// matrix in the hierarchy.
     /// An estimate for capacity planning (`ServiceStats`), not an exact
     /// allocator measurement.
     pub fn estimated_resident_bytes(&self) -> u64 {
         let n = self.system.len() as u64;
-        let mut bytes = n * n * 4 * 2;
+        let mut bytes = n * n * 4;
         if let Some(Ok(hierarchy)) = self.hierarchy.get() {
             for sys in hierarchy.systems() {
                 let m = sys.len() as u64;
@@ -98,8 +92,8 @@ pub struct CacheStats {
     /// Hierarchies built so far (across all entries).
     #[serde(default)]
     pub hierarchy_entries: usize,
-    /// Estimated bytes resident across all built artifacts (APSP +
-    /// routing tables + built hierarchies).
+    /// Estimated bytes resident across all built artifacts (APSP
+    /// matrices + built hierarchies).
     #[serde(default)]
     pub resident_bytes: u64,
 }
@@ -251,7 +245,6 @@ mod tests {
         let direct = TopologyArtifacts::build(&spec, 0).unwrap();
         assert_eq!(cached.system.graph(), direct.system.graph());
         assert_eq!(cached.system.distances(), direct.system.distances());
-        assert_eq!(cached.routing, direct.routing);
     }
 
     #[test]
@@ -317,8 +310,8 @@ mod tests {
         assert_eq!(cache.stats().resident_bytes, 0);
         let spec = TopologySpec::Ring { n: 8 };
         let artifacts = cache.get_or_build(&spec, 0).unwrap();
-        // APSP + routing: two 8x8 u32 matrices.
-        let base = 8 * 8 * 4 * 2;
+        // The APSP hop matrix: one 8x8 u32 matrix.
+        let base = 8 * 8 * 4;
         assert_eq!(cache.stats().resident_bytes, base);
         assert_eq!(cache.stats().hierarchy_entries, 0);
         let direct = artifacts.estimated_resident_bytes();

@@ -157,9 +157,10 @@ where
 /// [`refine_batched`] with a caller-owned [`DeltaWorkspace`] and
 /// telemetry recorder (`refine.candidates` / `refine.accepted`
 /// counters, batched once per call). When `threads <= 1` candidates are
-/// priced by the incremental [`DeltaEvaluator`] — only the disturbed
-/// scheduling cone is recomputed per candidate, with zero allocation —
-/// while `threads > 1` keeps the parallel full evaluations. Both arms
+/// priced by the incremental [`DeltaEvaluator`] — a sweep of the
+/// disturbed suffix or a walk of the disturbed cone per candidate, with
+/// zero allocation — while `threads > 1` keeps the parallel full
+/// evaluations. Both arms
 /// produce bit-identical totals (the delta evaluator's contract), so
 /// the outcome stays invariant under the thread count.
 #[allow(clippy::too_many_arguments)]

@@ -14,7 +14,7 @@
 //!   [`ServiceError`] with an [`ErrorCode`]);
 //! * [`service`] — [`MappingService`]: sessions multiplexed in one
 //!   process, ids allocated deterministically, topology artifacts
-//!   (`SystemHierarchy`, APSP, routing) shared through one
+//!   (`SystemHierarchy`, APSP) shared through one
 //!   `TopologyCache` across one-shot *and* session traffic;
 //! * [`serve`] — the JSONL loop behind `mimd serve` (one request per
 //!   stdin line, one response per stdout line) plus
