@@ -315,6 +315,27 @@ fn full_suite() -> BenchSuite {
             },
         },
         Scenario {
+            // The benchmark's critical job (also pinned in the CLI
+            // goldens): a fresh random machine, so APSP, the system
+            // hierarchy and the cluster-graph coarsening all run.
+            name: "multilevel_random1024".into(),
+            kind: ScenarioKind::Job {
+                job: JobSpec {
+                    topology_seed: Some(1024),
+                    ..job(
+                        "multilevel_random1024",
+                        WorkloadSpec::Layered {
+                            tasks: 2048,
+                            width: None,
+                        },
+                        TopologySpec::Random { n: 1024, p: 0.004 },
+                        multilevel(),
+                        18,
+                    )
+                },
+            },
+        },
+        Scenario {
             name: "replay_arrivals_torus8x8".into(),
             kind: ScenarioKind::Replay {
                 tasks: 128,

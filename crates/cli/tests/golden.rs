@@ -1,7 +1,8 @@
 //! Golden byte-identity: the checked-in job file and serialized-model
 //! mapping in `tests/golden/` must reproduce their recorded outputs
 //! byte for byte. The expected files were generated before the
-//! refinement kernel was last rewritten; a performance change that
+//! refinement kernel was last rewritten (the `ml-random1024` line
+//! before the APSP and coarsening rewrite); a performance change that
 //! alters any mapping result fails here. Regenerate them only for a
 //! change that is meant to move results, and say so in its notes.
 

@@ -2,10 +2,15 @@
 //!
 //! The mapping algorithm needs the paper's `shortest[ns][ns]` matrix: the
 //! hop count of the shortest path between every pair of system nodes
-//! (§3.4(b)). System graphs are unweighted, so a BFS from each source is
-//! both simpler and asymptotically better (`O(ns·(ns+es))`) than
-//! Floyd–Warshall; we also provide Floyd–Warshall for weighted digraphs
-//! because the simulator's contention models route over weighted links.
+//! (§3.4(b)). System graphs are unweighted, so breadth-first search is
+//! both simpler and asymptotically better than Floyd–Warshall. The BFS
+//! is bit-parallel: sources run in blocks of up to [`SOURCE_BLOCK`], one
+//! bit per source, and each level is one pass over a frozen CSR
+//! adjacency that ORs the neighbours' frontier words — `O(D·(ns+es))`
+//! word operations per block for a graph of diameter `D`, against the
+//! `O(ns·(ns+es))` queue operations of one BFS per source. We also
+//! provide Floyd–Warshall for weighted digraphs because the simulator's
+//! contention models route over weighted links.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +18,10 @@ use crate::error::GraphError;
 use crate::matrix::SquareMatrix;
 use crate::ungraph::UnGraph;
 use crate::{NodeId, Weight};
-use std::collections::VecDeque;
+
+/// Sources per bit-parallel BFS block: 16 `u64` words of `seen`,
+/// `front` and `next` state per node.
+pub const SOURCE_BLOCK: usize = 1024;
 
 /// Hop-count distance matrix between all node pairs of a connected graph.
 ///
@@ -27,27 +35,40 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Compute hop counts by running one BFS per source node.
+    /// Compute hop counts by a bit-parallel BFS from every source.
+    ///
+    /// The adjacency is frozen into a CSR once; sources then run in
+    /// blocks of up to [`SOURCE_BLOCK`], bit `s` of a node's words
+    /// meaning "source `s` of the block". Each level is one pass over
+    /// all nodes, `next[v] = OR(front[u] for u in N(v)) & !seen[v]`,
+    /// and every new bit `s` at `v` writes the level into row `v`,
+    /// column `s` — hop counts are symmetric, so a block fills whole
+    /// row segments. A block ends when no bit changes; any entry still
+    /// unreached is [`GraphError::Disconnected`].
     pub fn bfs_all_pairs(g: &UnGraph) -> Result<Self, GraphError> {
         let n = g.node_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * g.edge_count());
+        offsets.push(0);
+        for u in 0..n {
+            targets.extend_from_slice(g.neighbors(u));
+            offsets.push(targets.len());
+        }
         let mut dist = SquareMatrix::filled(n, u32::MAX);
-        let mut queue = VecDeque::new();
-        for s in 0..n {
-            dist.set(s, s, 0);
-            queue.clear();
-            queue.push_back(s);
-            while let Some(u) = queue.pop_front() {
-                let du = dist.get(s, u);
-                for &v in g.neighbors(u) {
-                    if dist.get(s, v) == u32::MAX {
-                        dist.set(s, v, du + 1);
-                        queue.push_back(v);
-                    }
-                }
+        for base in (0..n).step_by(SOURCE_BLOCK) {
+            let width = SOURCE_BLOCK.min(n - base);
+            // Words per node, rounded up to a power of two so the sweep
+            // runs on fixed-size arrays.
+            match width.div_ceil(64).next_power_of_two() {
+                1 => bfs_block::<1>(&offsets, &targets, base, width, &mut dist),
+                2 => bfs_block::<2>(&offsets, &targets, base, width, &mut dist),
+                4 => bfs_block::<4>(&offsets, &targets, base, width, &mut dist),
+                8 => bfs_block::<8>(&offsets, &targets, base, width, &mut dist),
+                _ => bfs_block::<16>(&offsets, &targets, base, width, &mut dist),
             }
-            if dist.row(s).contains(&u32::MAX) {
-                return Err(GraphError::Disconnected);
-            }
+        }
+        if dist.as_slice().contains(&u32::MAX) {
+            return Err(GraphError::Disconnected);
         }
         Ok(DistanceMatrix { dist })
     }
@@ -122,6 +143,58 @@ impl DistanceMatrix {
             .into_iter()
             .copied()
             .min_by_key(|&c| (self.hops(u, c), c))
+    }
+}
+
+/// BFS from sources `base..base + width` at once, `W` words per node
+/// (`64 * W >= width`), over the CSR adjacency `offsets`/`targets`
+/// (the neighbours of `u` are `targets[offsets[u]..offsets[u + 1]]`),
+/// writing each node's row segment of `dist`.
+fn bfs_block<const W: usize>(
+    offsets: &[usize],
+    targets: &[NodeId],
+    base: usize,
+    width: usize,
+    dist: &mut SquareMatrix<u32>,
+) {
+    let n = offsets.len() - 1;
+    let mut seen = vec![[0u64; W]; n];
+    let mut front = vec![[0u64; W]; n];
+    let mut next = vec![[0u64; W]; n];
+    for s in 0..width {
+        let v = base + s;
+        seen[v][s / 64] |= 1 << (s % 64);
+        front[v][s / 64] |= 1 << (s % 64);
+        dist.set(v, v, 0);
+    }
+    let mut level = 0;
+    loop {
+        level += 1;
+        let mut changed = false;
+        for (v, (out, seen)) in next.iter_mut().zip(&mut seen).enumerate() {
+            let mut acc = [0u64; W];
+            for &u in &targets[offsets[v]..offsets[v + 1]] {
+                for (a, &f) in acc.iter_mut().zip(&front[u]) {
+                    *a |= f;
+                }
+            }
+            let row = &mut dist.row_mut(v)[base..base + width];
+            for w in 0..W {
+                let mut bits = acc[w] & !seen[w];
+                seen[w] |= bits;
+                acc[w] = bits;
+                changed |= bits != 0;
+                while bits != 0 {
+                    row[w * 64 + bits.trailing_zeros() as usize] = level;
+                    bits &= bits - 1;
+                }
+            }
+            *out = acc;
+        }
+        if !changed {
+            return;
+        }
+        std::mem::swap(&mut front, &mut next);
     }
 }
 

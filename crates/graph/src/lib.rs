@@ -30,7 +30,6 @@
 
 pub mod apsp;
 pub mod bitset;
-pub mod csr;
 pub mod dag;
 pub mod digraph;
 pub mod dot;
@@ -43,7 +42,6 @@ pub mod ungraph;
 
 pub use apsp::DistanceMatrix;
 pub use bitset::BitSet;
-pub use csr::Csr;
 pub use digraph::WeightedDigraph;
 pub use error::GraphError;
 pub use matrix::SquareMatrix;

@@ -48,7 +48,16 @@ pub fn heavy_edge_matching(n: usize, edges: &[(NodeId, NodeId, Weight)]) -> Vec<
         .filter(|&&(u, v, _)| u != v && u < n && v < n)
         .map(|&(u, v, w)| (u.min(v), u.max(v), w))
         .collect();
-    sorted.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+    if sorted
+        .windows(2)
+        .all(|p| (p[0].0, p[0].1) < (p[1].0, p[1].1))
+    {
+        // Already in ascending `(u, v)` order (a CSR walk): a stable
+        // sort on weight alone yields the same order, cheaper.
+        sorted.sort_by_key(|e| std::cmp::Reverse(e.2));
+    } else {
+        sorted.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+    }
     let mut matched = vec![false; n];
     let mut pairs = Vec::with_capacity(n / 2);
     for (u, v, _) in sorted {
@@ -157,6 +166,26 @@ mod tests {
         let pairs = heavy_edge_matching(3, &[(1, 1, 9), (5, 0, 9), (1, 0, 2)]);
         assert_eq!(pairs, vec![(0, 1)]);
         assert_is_matching(3, &pairs);
+    }
+
+    #[test]
+    fn heavy_edge_matching_ignores_input_order() {
+        // Ascending `(u, v)` input takes the weight-only sort; any other
+        // order takes the full-key sort. Both must pick the same pairs.
+        let mut edges = Vec::new();
+        for u in 0..12usize {
+            for v in (u + 1)..12 {
+                if (u * 7 + v * 3) % 4 != 0 {
+                    edges.push((u, v, ((u * v) % 5) as Weight + 1));
+                }
+            }
+        }
+        let ascending = heavy_edge_matching(12, &edges);
+        edges.reverse();
+        assert_eq!(heavy_edge_matching(12, &edges), ascending);
+        edges.rotate_left(5);
+        assert_eq!(heavy_edge_matching(12, &edges), ascending);
+        assert_is_matching(12, &ascending);
     }
 
     #[test]

@@ -14,17 +14,26 @@
 //! Every level keeps the paper's `na = ns` invariant: the system graph
 //! is contracted along a maximal matching into `m` connected processor
 //! groups, and the clustering is merged by heavy-edge matching on the
-//! abstract graph until exactly `m` clusters remain. Both projections
+//! cluster graph until exactly `m` clusters remain. Both projections
 //! conserve weight — task weight trivially (tasks never merge), cut
 //! weight as `fine_cut = coarse_cut + internalized`.
+//!
+//! The cluster graph (the abstract graph's pairs and pair weights, kept
+//! as sparse ascending rows) is built once from the task edges at the
+//! finest level and then *contracted*: each coarse cluster sums its one
+//! or two members' rows, and the pairs that fall inside a coarse
+//! cluster are the internalized weight. No level rescans the task edges
+//! or builds a dense `na × na` matrix, so a problem-side step costs
+//! about the size of the cluster graph, not of the task graph.
 
 use std::sync::Arc;
 
+use mimd_graph::bitset::BitSet;
 use mimd_graph::error::GraphError;
 use mimd_graph::matching::{greedy_matching, heavy_edge_matching};
 use mimd_graph::ungraph::UnGraph;
 use mimd_graph::{NodeId, Weight};
-use mimd_taskgraph::{AbstractGraph, ClusterId, ClusteredProblemGraph};
+use mimd_taskgraph::{ClusterId, ClusteredProblemGraph};
 use mimd_topology::SystemGraph;
 
 /// Coarsening stalls (and the hierarchy stops growing) when a step
@@ -250,20 +259,25 @@ impl Hierarchy {
             system: Arc::clone(sys.finest()),
         }];
         let mut coarsenings = Vec::with_capacity(top);
-        for k in 0..top {
-            let step = &sys.steps()[k];
-            let fine = &levels[k].graph;
-            let (cluster_map, internalized_weight, coarse_graph) =
-                merge_clusters(fine, step.groups.len())?;
-            coarsenings.push(Coarsening {
-                cluster_map,
-                internalized_weight,
-                step: Arc::clone(step),
-            });
-            levels.push(Level {
-                graph: coarse_graph,
-                system: Arc::clone(&sys.systems()[k + 1]),
-            });
+        if top > 0 {
+            // Built once from the task edges, then contracted per level.
+            let mut cluster_graph = ClusterGraph::new(graph);
+            for k in 0..top {
+                let step = &sys.steps()[k];
+                let (cluster_map, internalized_weight, coarse) =
+                    merge_clusters(&cluster_graph, step.groups.len());
+                cluster_graph = coarse;
+                let coarse_graph = levels[k].graph.coarsen(&cluster_map)?;
+                coarsenings.push(Coarsening {
+                    cluster_map,
+                    internalized_weight,
+                    step: Arc::clone(step),
+                });
+                levels.push(Level {
+                    graph: coarse_graph,
+                    system: Arc::clone(&sys.systems()[k + 1]),
+                });
+            }
         }
         Ok(Hierarchy {
             levels,
@@ -293,25 +307,149 @@ impl Hierarchy {
     }
 }
 
+/// The cluster graph of one level: for every cluster, its neighbours
+/// in ascending order with the pair weight summed over both edge
+/// directions — the sparse counterpart of [`AbstractGraph`]'s
+/// adjacency and pair-weight matrix. Built once from the task edges at
+/// the finest level, then contracted along each level's merges.
+///
+/// [`AbstractGraph`]: mimd_taskgraph::AbstractGraph
+#[derive(Debug)]
+struct ClusterGraph {
+    /// Row `a` is `neighbors[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<usize>,
+    neighbors: Vec<ClusterId>,
+    weights: Vec<Weight>,
+}
+
+/// Accumulates one row of a [`ClusterGraph`] at a time: a dense weight
+/// slot per cluster and the set of clusters touched so far, read off in
+/// ascending order when the row is done.
+struct RowBuilder {
+    weight: Vec<Weight>,
+    touched: BitSet,
+}
+
+impl RowBuilder {
+    fn new(na: usize) -> Self {
+        RowBuilder {
+            weight: vec![0; na],
+            touched: BitSet::new(na),
+        }
+    }
+
+    fn add(&mut self, b: ClusterId, w: Weight) {
+        self.touched.insert(b);
+        self.weight[b] += w;
+    }
+
+    /// Append the accumulated row to `graph` and reset for the next one.
+    fn finish_row(&mut self, graph: &mut ClusterGraph) {
+        for b in self.touched.iter() {
+            graph.neighbors.push(b);
+            graph.weights.push(self.weight[b]);
+            self.weight[b] = 0;
+        }
+        self.touched.clear();
+        graph.offsets.push(graph.neighbors.len());
+    }
+}
+
+impl ClusterGraph {
+    fn empty(na: usize) -> Self {
+        let mut offsets = Vec::with_capacity(na + 1);
+        offsets.push(0);
+        ClusterGraph {
+            offsets,
+            neighbors: Vec::new(),
+            weights: Vec::new(),
+        }
+    }
+
+    /// Collapse the cross-cluster task edges of `graph`, one cluster at
+    /// a time over its members' successors and predecessors.
+    fn new(graph: &ClusteredProblemGraph) -> Self {
+        let na = graph.num_clusters();
+        let problem = graph.problem();
+        let mut out = ClusterGraph::empty(na);
+        let mut row = RowBuilder::new(na);
+        for a in 0..na {
+            for &t in graph.clustering().members(a) {
+                for &(u, w) in problem.successors(t).iter().chain(problem.predecessors(t)) {
+                    let b = graph.cluster_of(u);
+                    if b != a {
+                        row.add(b, w);
+                    }
+                }
+            }
+            row.finish_row(&mut out);
+        }
+        out
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Neighbours of `a` (ascending) zipped with their pair weights.
+    fn row(&self, a: ClusterId) -> impl Iterator<Item = (ClusterId, Weight)> + '_ {
+        let span = self.offsets[a]..self.offsets[a + 1];
+        self.neighbors[span.clone()]
+            .iter()
+            .copied()
+            .zip(self.weights[span].iter().copied())
+    }
+
+    /// Every pair once as `(a, b, weight)` with `a < b`, in ascending
+    /// `(a, b)` order.
+    fn edges(&self) -> Vec<(NodeId, NodeId, Weight)> {
+        (0..self.len())
+            .flat_map(|a| {
+                self.row(a)
+                    .filter(move |&(b, _)| a < b)
+                    .map(move |(b, w)| (a, b, w))
+            })
+            .collect()
+    }
+
+    /// The cluster graph after merging along `cluster_map` (onto `m`
+    /// clusters), and the pair weight that fell inside a merged cluster.
+    fn contract(&self, cluster_map: &[ClusterId], m: usize) -> (ClusterGraph, Weight) {
+        let mut members = vec![[usize::MAX; 2]; m];
+        for (a, &c) in cluster_map.iter().enumerate() {
+            let slot = usize::from(members[c][0] != usize::MAX);
+            members[c][slot] = a;
+        }
+        let mut out = ClusterGraph::empty(m);
+        let mut row = RowBuilder::new(m);
+        let mut inside: Weight = 0;
+        for (c, pair) in members.iter().enumerate() {
+            for &a in pair.iter().filter(|&&a| a != usize::MAX) {
+                for (b, w) in self.row(a) {
+                    match cluster_map[b] {
+                        cb if cb == c => inside += w,
+                        cb => row.add(cb, w),
+                    }
+                }
+            }
+            row.finish_row(&mut out);
+        }
+        // Each inside pair was seen from both of its members.
+        (out, inside / 2)
+    }
+}
+
 /// The problem-side half of one coarsening step: merge clusters
-/// (heaviest abstract edges first) down to exactly `m`, returning the
-/// projection map, the internalized cut weight and the coarse graph.
-fn merge_clusters(
-    graph: &ClusteredProblemGraph,
-    m: usize,
-) -> Result<(Vec<ClusterId>, Weight, ClusteredProblemGraph), GraphError> {
-    let na = graph.num_clusters();
+/// (heaviest pair weights first) down to exactly `m`, returning the
+/// projection map, the internalized cut weight and the coarse cluster
+/// graph.
+fn merge_clusters(graph: &ClusterGraph, m: usize) -> (Vec<ClusterId>, Weight, ClusterGraph) {
+    let na = graph.len();
     let merges_needed = na - m;
-    let abstract_graph = AbstractGraph::new(graph);
-    let weighted_edges: Vec<(NodeId, NodeId, Weight)> = abstract_graph
-        .adjacency()
-        .edges()
-        .map(|(a, b)| (a, b, abstract_graph.pair_weight(a, b)))
-        .collect();
-    let mut chosen = heavy_edge_matching(na, &weighted_edges);
+    let mut chosen = heavy_edge_matching(na, &graph.edges());
     chosen.truncate(merges_needed);
     if chosen.len() < merges_needed {
-        // The abstract graph ran out of edges (or is sparse): pair the
+        // The cluster graph ran out of edges (or is sparse): pair the
         // remaining unmerged clusters by ascending id. Merging
         // non-communicating clusters is harmless — it only zeroes edges
         // that do not exist.
@@ -349,22 +487,16 @@ fn merge_clusters(
         next += 1;
     }
     debug_assert_eq!(next, m);
-
-    let internalized_weight = graph
-        .cross_edges()
-        .filter(|&(u, v, _)| cluster_map[graph.cluster_of(u)] == cluster_map[graph.cluster_of(v)])
-        .map(|(_, _, w)| w)
-        .sum();
-    let coarse_graph = graph.coarsen(&cluster_map)?;
-    Ok((cluster_map, internalized_weight, coarse_graph))
+    let (coarse, internalized_weight) = graph.contract(&cluster_map, m);
+    (cluster_map, internalized_weight, coarse)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mimd_taskgraph::clustering::region::random_region_clustering;
-    use mimd_taskgraph::{GeneratorConfig, LayeredDagGenerator};
-    use mimd_topology::{mesh2d, star, torus2d};
+    use mimd_taskgraph::{AbstractGraph, GeneratorConfig, LayeredDagGenerator};
+    use mimd_topology::{clustered_complete, mesh2d, random_topology, star, torus2d};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -498,5 +630,166 @@ mod tests {
             let total: usize = members.iter().map(Vec::len).sum();
             assert_eq!(total, 16);
         }
+    }
+
+    /// One coarsening step computed the dense way, from the fine model
+    /// alone: the abstract graph's pair-weight matrix feeds the heavy-edge
+    /// matching, the cut weight is rescanned over every task edge, and the
+    /// coarse graph is the re-clustered problem. The last field tells
+    /// whether the matching fell short and the ascending-id pairing ran.
+    fn merge_clusters_dense(
+        graph: &ClusteredProblemGraph,
+        m: usize,
+    ) -> (Vec<ClusterId>, Weight, ClusteredProblemGraph, bool) {
+        let na = graph.num_clusters();
+        let merges_needed = na - m;
+        let abstract_graph = AbstractGraph::new(graph);
+        let weighted_edges: Vec<(NodeId, NodeId, Weight)> = abstract_graph
+            .adjacency()
+            .edges()
+            .map(|(a, b)| (a, b, abstract_graph.pair_weight(a, b)))
+            .collect();
+        let mut chosen = heavy_edge_matching(na, &weighted_edges);
+        chosen.truncate(merges_needed);
+        let fell_back = chosen.len() < merges_needed;
+        if fell_back {
+            let mut merged = vec![false; na];
+            for &(a, b) in &chosen {
+                merged[a] = true;
+                merged[b] = true;
+            }
+            let free: Vec<ClusterId> = (0..na).filter(|&a| !merged[a]).collect();
+            for pair in free.chunks(2) {
+                if chosen.len() == merges_needed {
+                    break;
+                }
+                if let [a, b] = *pair {
+                    chosen.push((a, b));
+                }
+            }
+        }
+        let mut mate = vec![usize::MAX; na];
+        for &(a, b) in &chosen {
+            mate[a] = b;
+            mate[b] = a;
+        }
+        let mut cluster_map = vec![usize::MAX; na];
+        let mut next = 0;
+        for a in 0..na {
+            if cluster_map[a] != usize::MAX {
+                continue;
+            }
+            cluster_map[a] = next;
+            if mate[a] != usize::MAX {
+                cluster_map[mate[a]] = next;
+            }
+            next += 1;
+        }
+        let internalized_weight = graph
+            .cross_edges()
+            .filter(|&(u, v, _)| {
+                cluster_map[graph.cluster_of(u)] == cluster_map[graph.cluster_of(v)]
+            })
+            .map(|(_, _, w)| w)
+            .sum();
+        let coarse_graph = graph.coarsen(&cluster_map).unwrap();
+        (cluster_map, internalized_weight, coarse_graph, fell_back)
+    }
+
+    /// The cluster graph must list exactly the abstract graph's pairs,
+    /// ascending, with its pair weights.
+    fn assert_cluster_graph_is_abstract_graph(cg: &ClusterGraph, graph: &ClusteredProblemGraph) {
+        let abstract_graph = AbstractGraph::new(graph);
+        assert_eq!(cg.len(), abstract_graph.len());
+        for a in 0..cg.len() {
+            let row: Vec<(ClusterId, Weight)> = cg.row(a).collect();
+            let dense: Vec<(ClusterId, Weight)> = abstract_graph
+                .neighbors(a)
+                .iter()
+                .map(|&b| (b, abstract_graph.pair_weight(a, b)))
+                .collect();
+            assert_eq!(row, dense, "cluster {a}");
+        }
+    }
+
+    /// Coarsen `graph` on `system` both ways and compare every level;
+    /// returns whether any level reached the ascending-id fallback.
+    fn assert_sparse_matches_dense(graph: &ClusteredProblemGraph, system: &SystemGraph) -> bool {
+        let h = Hierarchy::build(graph, system, 1).unwrap();
+        let mut cg = ClusterGraph::new(graph);
+        let mut fell_back = false;
+        for (k, coarsening) in h.coarsenings().iter().enumerate() {
+            let fine = &h.levels()[k].graph;
+            let coarse = &h.levels()[k + 1].graph;
+            assert_cluster_graph_is_abstract_graph(&cg, fine);
+            let (map, internalized, dense_coarse, fallback) =
+                merge_clusters_dense(fine, coarse.num_clusters());
+            assert_eq!(coarsening.cluster_map, map, "level {k}");
+            assert_eq!(coarsening.internalized_weight, internalized, "level {k}");
+            assert_eq!(coarse, &dense_coarse, "level {k}");
+            fell_back |= fallback;
+            cg = merge_clusters(&cg, coarse.num_clusters()).2;
+        }
+        fell_back
+    }
+
+    #[test]
+    fn sparse_coarsening_matches_the_dense_merge() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let machines = [
+            mesh2d(8, 8).unwrap(),
+            mesh2d(5, 7).unwrap(),
+            torus2d(6, 6).unwrap(),
+            torus2d(8, 16).unwrap(),
+            random_topology(64, 0.05, &mut rng).unwrap(),
+            random_topology(100, 0.02, &mut rng).unwrap(),
+            clustered_complete(4, 8).unwrap(),
+            clustered_complete(6, 6).unwrap(),
+        ];
+        for (i, system) in machines.iter().enumerate() {
+            for (seed, tasks_per_proc) in [(1, 2), (2, 3), (3, 5)] {
+                let ns = system.len();
+                let graph = instance(ns * tasks_per_proc, ns, 100 * i as u64 + seed);
+                assert_sparse_matches_dense(&graph, system);
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_merge_matches_on_a_stalled_star() {
+        // A star's hierarchy stops at level 0, so merge its clusters
+        // directly, at several targets.
+        let system = star(32).unwrap();
+        let graph = instance(96, 32, 4);
+        assert_eq!(Hierarchy::build(&graph, &system, 4).unwrap().depth(), 1);
+        let cg = ClusterGraph::new(&graph);
+        assert_cluster_graph_is_abstract_graph(&cg, &graph);
+        for m in [31, 24, 16] {
+            let (map, internalized, coarse_cg) = merge_clusters(&cg, m);
+            let (dense_map, dense_internalized, dense_coarse, _) = merge_clusters_dense(&graph, m);
+            assert_eq!(map, dense_map, "m = {m}");
+            assert_eq!(internalized, dense_internalized, "m = {m}");
+            assert_cluster_graph_is_abstract_graph(&coarse_cg, &dense_coarse);
+        }
+    }
+
+    #[test]
+    fn sparse_coarsening_matches_through_the_fallback_pairing() {
+        // The benchmark's 2048-task job on torus:32x32 with seed 12345:
+        // level 0's heavy-edge matching finds fewer merges than the 512
+        // it needs, so the ascending-id pairing completes it.
+        let system = torus2d(32, 32).unwrap();
+        let mut rng = StdRng::seed_from_u64(12345);
+        let gen = LayeredDagGenerator::new(GeneratorConfig {
+            tasks: 2048,
+            avg_width: 16,
+            locality_window: Some(1),
+            ..GeneratorConfig::default()
+        })
+        .unwrap();
+        let problem = gen.generate(&mut rng);
+        let clustering = random_region_clustering(&problem, 1024, &mut rng).unwrap();
+        let graph = ClusteredProblemGraph::new(problem, clustering).unwrap();
+        assert!(assert_sparse_matches_dense(&graph, &system));
     }
 }

@@ -13,8 +13,9 @@
 //!   graph along maximal matchings into connected processor groups
 //!   (topology-only, so the batch engine caches it per machine);
 //!   [`Hierarchy`] pairs a prefix of that chain with per-job heavy-edge
-//!   cluster merges on the abstract graph, keeping `na = ns` at every
-//!   level and conserving task/cut weight.
+//!   cluster merges on a sparse cluster graph (built once, contracted
+//!   per level), keeping `na = ns` at every level and conserving
+//!   task/cut weight.
 //! * The **top level** (`ns ≤ direct_threshold`) is solved by the
 //!   unmodified `mimd_core::Mapper` — ideal schedule, critical edges,
 //!   greedy placement, randomized refinement.

@@ -336,6 +336,21 @@ fn serve_connection(conn: u64, stream: Stream, shared: &Shared, sender: &ShardSe
     shared.gauges.connection_closed();
 }
 
+/// Offer `item` to `shard`, keeping the queue-depth gauge exact: the
+/// request is counted before the shard worker can see (and uncount)
+/// it, and the count is rolled back when the shard rejects it.
+fn admit<T>(
+    sender: &ShardSender<T>,
+    gauges: &ServerGaugeSource,
+    shard: usize,
+    item: T,
+) -> Result<(), EnqueueError> {
+    gauges.enqueued();
+    sender
+        .try_enqueue(shard, item)
+        .inspect_err(|_| gauges.enqueue_rejected())
+}
+
 /// Route one decoded request: inline, or onto its shard queue.
 fn route(
     request: Request,
@@ -368,8 +383,8 @@ fn route(
         reserved,
         writer: Arc::clone(writer),
     };
-    match sender.try_enqueue(shard, job) {
-        Ok(()) => shared.gauges.enqueued(),
+    match admit(sender, &shared.gauges, shard, job) {
+        Ok(()) => {}
         Err(reason) => {
             shared.rejected.fetch_add(1, Ordering::Relaxed);
             shared.service.note_overloaded();
@@ -382,5 +397,46 @@ fn route(
             let response = ServiceError::new(ErrorCode::Overloaded, detail).into_response();
             write_response(writer, &response);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn rejected_admissions_leave_the_queue_depth_unchanged() {
+        let gauges = Arc::new(ServerGaugeSource::default());
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let worker_gauges = Arc::clone(&gauges);
+        // One shard, one queue slot; the handler holds each item until
+        // released.
+        let pool = ShardPool::new(1, 1, move |_, _item: u32| {
+            worker_gauges.dequeued_inflight();
+            lock(&gate).recv().unwrap();
+            worker_gauges.inflight_done();
+        });
+        let sender = pool.sender();
+        admit(&sender, &gauges, 0, 1).unwrap();
+        while gauges.snapshot().inflight == 0 {
+            std::thread::yield_now();
+        }
+        admit(&sender, &gauges, 0, 2).unwrap();
+        assert_eq!(gauges.snapshot().queue_depth, 1);
+        assert_eq!(
+            admit(&sender, &gauges, 0, 3),
+            Err(EnqueueError::Full { shard: 0, depth: 1 })
+        );
+        assert_eq!(gauges.snapshot().queue_depth, 1);
+        pool.shutdown();
+        assert_eq!(admit(&sender, &gauges, 0, 4), Err(EnqueueError::Draining));
+        assert_eq!(gauges.snapshot().queue_depth, 1);
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        pool.join();
+        let settled = gauges.snapshot();
+        assert_eq!((settled.queue_depth, settled.inflight), (0, 0));
     }
 }

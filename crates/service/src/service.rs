@@ -143,9 +143,17 @@ impl ServerGaugeSource {
         self.active_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// A request was admitted to a shard queue.
+    /// A request is about to be offered to a shard queue. Counted
+    /// before the offer, so a shard worker's [`Self::dequeued_inflight`]
+    /// can never run ahead of it; undo with [`Self::enqueue_rejected`]
+    /// when the shard turns the request away.
     pub fn enqueued(&self) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The shard rejected a request counted by [`Self::enqueued`].
+    pub fn enqueue_rejected(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// A shard worker picked a queued request up and is handling it.
@@ -775,6 +783,8 @@ mod tests {
         gauges.connection_opened();
         gauges.enqueued();
         gauges.enqueued();
+        gauges.enqueued();
+        gauges.enqueue_rejected();
         gauges.dequeued_inflight();
         let server = service.stats().server;
         assert_eq!(server.active_connections, 2);
